@@ -1,7 +1,7 @@
 """Compare fresh benchmark results against committed baselines.
 
 The bench-regression CI job (and any developer, locally) runs the
-benchmark suite and then this comparator.  Five artifacts are
+benchmark suite and then this comparator.  Six artifacts are
 tracked, covering the repository's performance-sensitive subsystems:
 
 * ``decision_time.txt`` — per-learner synopsis build + decide cost;
@@ -15,6 +15,9 @@ tracked, covering the repository's performance-sensitive subsystems:
   the single-process fleet path (absolute wall clocks are deliberately
   not baseline-compared: like ``parallel_s`` they depend on the host's
   core count; the recorded ``shard_speedup`` gates instead);
+* ``BENCH_sim.json`` — discrete-event simulator events per second on
+  a fixed-seed stress run (a rate, so it gates as its inverse, the
+  cost per event, under the same one-sided timing tolerance);
 * ``fig4_coordinated_accuracy.txt`` — coordinated prediction accuracy
   across the four workloads at both metric levels.
 
@@ -60,6 +63,7 @@ Usage::
             benchmarks/test_parallel_engine.py \
             benchmarks/test_serve_fleet.py \
             benchmarks/test_serve_shards.py \
+            benchmarks/test_sim.py \
             benchmarks/test_fig4_coordinated_accuracy.py
     python benchmarks/compare_baselines.py --update
 
@@ -173,6 +177,10 @@ def parse_serve(path: Path) -> Dict[str, float]:
     return {key: float(payload[key]) for key in SERVE_KEYS}
 
 
+def parse_sim(path: Path) -> float:
+    return float(json.loads(path.read_text())["events_per_s"])
+
+
 def parse_http(path: Path) -> Dict[str, float]:
     """``{percentile: ms}`` from the loadgen's BENCH_http.json."""
     latency = json.loads(path.read_text())["admit_latency_ms"]
@@ -233,6 +241,7 @@ def collect(results_dir: Path) -> Dict[str, object]:
             results_dir / "BENCH_parallel.json"
         ),
         "serve_s": parse_serve(results_dir / "BENCH_serve.json"),
+        "sim_events_per_s": parse_sim(results_dir / "BENCH_sim.json"),
         # informational (floor/ceiling-gated from the fresh artifact,
         # never baseline-compared: wall clocks scale with the host's
         # cores)
@@ -399,6 +408,16 @@ def compare(
         "serve_s",
         baselines.get("serve_s", {}),
         fresh["serve_s"],
+        time_tolerance,
+        failures,
+        rows,
+    )
+    # a rate gates as its inverse: the tolerance bounds the cost per
+    # event exactly as it bounds a wall clock
+    _compare_timing(
+        "sim",
+        {"us_per_event": 1e6 / float(baselines["sim_events_per_s"])},
+        {"us_per_event": 1e6 / float(fresh["sim_events_per_s"])},
         time_tolerance,
         failures,
         rows,
@@ -657,6 +676,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "benchmarks/test_parallel_engine.py "
             "benchmarks/test_serve_fleet.py "
             "benchmarks/test_serve_shards.py "
+            "benchmarks/test_sim.py "
             "benchmarks/test_fig4_coordinated_accuracy.py"
         )
         return 2

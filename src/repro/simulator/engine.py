@@ -1,9 +1,10 @@
 """Discrete-event simulation engine.
 
 The engine is a classic event-heap simulator: callbacks are scheduled at
-absolute simulated times and executed in timestamp order.  Ties are broken
-by a monotonically increasing sequence number so that scheduling order is
-deterministic and events never compare their (arbitrary) payloads.
+absolute simulated times and executed in timestamp order.  Heap entries
+are plain ``(time, seq, event)`` tuples; ``seq`` is a monotonically
+increasing sequence number, unique per entry, so ties run in scheduling
+order and the tuple comparison never reaches the event itself.
 
 The engine is deliberately minimal — servers, workload generators and
 telemetry samplers are all built as plain callbacks on top of it — but it
@@ -18,23 +19,16 @@ supports the two features a server simulation actually needs:
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+import math
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised on invalid use of the simulation engine."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -79,7 +73,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[_HeapEntry] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_executed = 0
@@ -104,20 +98,24 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now.
 
         Returns an :class:`Event` handle that may be cancelled.  Negative
-        delays are rejected: the past is immutable.
+        delays are rejected (the past is immutable), and so are NaN and
+        infinite ones, which would corrupt the heap order.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {delay!r}"
+            )
         return self.schedule_at(self._now + delay, action)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at an absolute simulated time."""
-        if time < self._now:
+        if not self._now <= time < math.inf:
             raise SimulationError(
-                f"cannot schedule at t={time:.6f} before now={self._now:.6f}"
+                f"cannot schedule at t={time!r}: times must be finite "
+                f"and not before now={self._now!r}"
             )
         event = Event(time, action)
-        heapq.heappush(self._heap, _HeapEntry(time, next(self._seq), event))
+        heappush(self._heap, (time, next(self._seq), event))
         return event
 
     def every(
@@ -167,13 +165,14 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
+            if event.cancelled:
                 continue
-            self._now = entry.time
+            self._now = time
             self._events_executed += 1
-            entry.event.action()
+            event.action()
             return True
         return False
 
@@ -187,18 +186,20 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        horizon = math.inf if until is None else until
         try:
-            while self._heap:
-                entry = self._heap[0]
-                if entry.event.cancelled:
-                    heapq.heappop(self._heap)
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
                     continue
-                if until is not None and entry.time > until:
+                if time > horizon:
                     break
-                heapq.heappop(self._heap)
-                self._now = entry.time
+                heappop(heap)
+                self._now = time
                 self._events_executed += 1
-                entry.event.action()
+                event.action()
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -206,6 +207,7 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the heap is empty."""
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None

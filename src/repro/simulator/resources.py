@@ -56,6 +56,12 @@ class ContentionModel:
     cores: int = 1
     cs_overhead: float = 0.004
 
+    def __post_init__(self) -> None:
+        if self.cores < 1:
+            raise ValueError("cores must be at least 1")
+        if not self.cs_overhead >= 0:
+            raise ValueError("cs_overhead must be non-negative")
+
     def efficiency(self, n_active: int) -> float:
         """Fraction of CPU time doing useful work with ``n_active`` threads."""
         if n_active <= 0:
@@ -100,10 +106,19 @@ class CacheModel:
     max_miss_rate: float = 0.45
     knee: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not self.capacity > 0:
+            raise ValueError("cache capacity must be positive")
+        if not self.knee > 0:
+            raise ValueError("cache knee must be positive")
+        if not 0.0 <= self.base_miss_rate <= self.max_miss_rate <= 1.0:
+            raise ValueError(
+                "miss rates must satisfy 0 <= base_miss_rate <= "
+                "max_miss_rate <= 1"
+            )
+
     def pressure(self, working_set: float) -> float:
         """Excess of working set over capacity, as a ratio (>= 0)."""
-        if self.capacity <= 0:
-            raise ValueError("cache capacity must be positive")
         return max(0.0, working_set / self.capacity - 1.0)
 
     def miss_rate(self, working_set: float) -> float:

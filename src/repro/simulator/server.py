@@ -235,7 +235,9 @@ class TierServer:
 
         # processor-sharing core
         self._virtual = 0.0  # common progress of all runnable phases
-        self._rate = 0.0  # d(virtual)/dt under the current state
+        # cache pressure, miss rate and d(virtual)/dt of the current
+        # state, recomputed by _resync on every change
+        self._pressure, self._miss, self._rate = self._state_rates()
         self._phase_heap: List[Tuple[float, int, _Phase]] = []
         self._phase_seq = itertools.count()
         self._completion_event: Optional[Event] = None
@@ -292,23 +294,26 @@ class TierServer:
             + self.queue_in_working_set * self._ws_queued_kb
         )
 
-    def current_miss_rate(self) -> float:
-        return self.cache.miss_rate(self.working_set_kb())
-
     def progress_rate(self) -> float:
         """Per-phase progress (nominal CPU-seconds per wall second)."""
+        return self._state_rates()[2]
+
+    def _state_rates(self) -> Tuple[float, float, float]:
+        """(cache pressure, miss rate, progress rate) of the live state."""
+        ws = self.working_set_kb()
+        pressure, miss = self.cache.pressure(ws), self.cache.miss_rate(ws)
         n = self.runnable
         if n == 0:
-            return 0.0
+            return pressure, miss, 0.0
         raw = self.spec.speed_factor * self.contention.per_request_rate(n)
-        miss = self.cache.miss_rate(self.working_set_kb())
-        return raw / (1.0 + miss * self.miss_stall_factor)
+        return pressure, miss, raw / (1.0 + miss * self.miss_stall_factor)
 
     # ------------------------------------------------------------------
-    # accounting + processor-sharing core
+    # accounting + processor-sharing core: every state change runs
+    # _advance() before it and _resync() after it
     # ------------------------------------------------------------------
     def _advance(self) -> None:
-        """Integrate state up to now using the rate in force since then."""
+        """Integrate state up to now using the rates in force since then."""
         now = self.sim.now
         dt = now - self._last_advance
         if dt <= 0:
@@ -320,9 +325,8 @@ class TierServer:
         self._int_blocked += self._blocked * dt
         self._int_threads += self.pool.in_use * dt
         self._int_queue += self.pool.queue_length * dt
-        ws = self.working_set_kb()
-        self._int_miss_rate += self.cache.miss_rate(ws) * dt
-        self._int_pressure += self.cache.pressure(ws) * dt
+        self._int_miss_rate += self._miss * dt
+        self._int_pressure += self._pressure * dt
         if n > 0 and self._rate > 0:
             progress = self._rate * dt
             self._virtual += progress
@@ -331,8 +335,8 @@ class TierServer:
         self._last_advance = now
 
     def _resync(self) -> None:
-        """Recompute the PS rate and reschedule the next completion."""
-        self._rate = self.progress_rate()
+        """Recompute the state's rates and reschedule the next completion."""
+        self._pressure, self._miss, self._rate = self._state_rates()
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None

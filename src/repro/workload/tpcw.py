@@ -196,6 +196,14 @@ class TrafficMix:
             "order_weights",
             _normalized(self.order_weights, ORDER_INTERACTIONS),
         )
+        # inverse-CDF draw table, built exactly as Generator.choice(n, p)
+        # builds it on every call, so sample() consumes the same uniform
+        # and returns the same interaction as that call would
+        probs = self.probabilities()
+        cdf = np.array([probs[n] for n in INTERACTIONS], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_requests", tuple(INTERACTIONS.values()))
 
     # ------------------------------------------------------------------
     def probabilities(self) -> Dict[str, float]:
@@ -213,10 +221,7 @@ class TrafficMix:
 
     def sample(self, rng: np.random.Generator) -> Request:
         """Draw one interaction i.i.d. from the mix."""
-        names = list(INTERACTIONS)
-        probs = self.probabilities()
-        idx = rng.choice(len(names), p=[probs[n] for n in names])
-        return INTERACTIONS[names[idx]]
+        return self._requests[self._cdf.searchsorted(rng.random(), side="right")]
 
     # ------------------------------------------------------------------
     def mean_demands(self) -> Dict[str, float]:

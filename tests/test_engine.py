@@ -48,6 +48,29 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.peek() is None
+
+    def test_nan_delay_cannot_corrupt_heap_order(self):
+        """Regression: a NaN delay used to be accepted and broke the heap
+        invariant, so the event due at t=0.5 fired after the one at
+        t=1.0 (observed order [1.0, 0.5, nan, 2.0])."""
+        sim = Simulator()
+        fired = []
+        for delay in (1.0, float("nan"), 2.0, 0.5):
+            try:
+                sim.schedule(delay, lambda d=delay: fired.append(d))
+            except SimulationError:
+                pass
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0]
+
     def test_zero_delay_allowed(self):
         sim = Simulator()
         fired = []

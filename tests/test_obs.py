@@ -403,6 +403,7 @@ def _write_artifacts(
     parallel_speedup=1.02,
     fleet_speedup=7.84,
     shard_speedup=2.4,
+    sim_events_per_s=45000.0,
 ):
     results.mkdir(parents=True, exist_ok=True)
     (results / "decision_time.txt").write_text(
@@ -446,6 +447,9 @@ def _write_artifacts(
                 "shard_speedup": shard_speedup,
             }
         )
+    )
+    (results / "BENCH_sim.json").write_text(
+        json.dumps({"cpu_count": cpu_count, "events_per_s": sim_events_per_s})
     )
     (results / "fig4_coordinated_accuracy.txt").write_text(
         "Fig.4 (learner=tan, h=3, delta=5.0, optimistic)\n"
@@ -505,6 +509,22 @@ class TestCompareBaselines:
         _write_artifacts(tmp_path, svm_ms=19.1 * 2)  # slower: regression
         assert comparator.main(argv + ["--time-tolerance", "0.2"]) == 1
         _write_artifacts(tmp_path, svm_ms=19.1 / 10)  # faster: fine
+        assert comparator.main(argv + ["--time-tolerance", "0.2"]) == 0
+
+    def test_sim_rate_gates_as_cost_per_event(self, comparator, tmp_path):
+        """events/s is higher-is-better: only a slowdown past the
+        tolerance fails, a speed-up always passes."""
+        _write_artifacts(tmp_path)
+        baselines = tmp_path / "baselines.json"
+        argv = ["--results-dir", str(tmp_path), "--baselines", str(baselines)]
+        comparator.main(argv + ["--update"])
+        assert json.loads(baselines.read_text())["sim_events_per_s"] == 45000.0
+
+        _write_artifacts(tmp_path, sim_events_per_s=45000.0 / 2)
+        assert comparator.main(argv + ["--time-tolerance", "0.2"]) == 1
+        _write_artifacts(tmp_path, sim_events_per_s=45000.0 / 1.1)
+        assert comparator.main(argv + ["--time-tolerance", "0.2"]) == 0
+        _write_artifacts(tmp_path, sim_events_per_s=45000.0 * 3)
         assert comparator.main(argv + ["--time-tolerance", "0.2"]) == 0
 
     def test_accuracy_must_match_exactly_by_default(

@@ -38,6 +38,19 @@ class TestContentionModel:
         model = ContentionModel(cores=2, cs_overhead=0.0)
         assert model.aggregate_rate(10) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cores": 0},
+            {"cores": -2},
+            {"cs_overhead": -0.001},
+            {"cs_overhead": float("nan")},
+        ],
+    )
+    def test_invalid_parameters_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            ContentionModel(**kwargs)
+
 
 class TestCacheModel:
     def test_no_pressure_within_capacity(self):
@@ -62,6 +75,23 @@ class TestCacheModel:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             CacheModel(capacity=0.0).pressure(1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"capacity": 0.0},
+            {"capacity": -1.0},
+            {"capacity": float("nan")},
+            {"knee": 0.0},
+            {"knee": -0.5},
+            {"base_miss_rate": -0.01},
+            {"base_miss_rate": 0.5, "max_miss_rate": 0.4},
+            {"max_miss_rate": 1.5},
+        ],
+    )
+    def test_invalid_parameters_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            CacheModel(**kwargs)
 
 
 class TestWorkerPool:
