@@ -22,7 +22,7 @@ Ten subcommands cover the operational loop a downstream user needs:
 * ``repro serve`` — run N independent websites behind per-site online
   monitors and AIMD admission gates
   (:class:`~repro.control.service.CapacityService`): one simulator,
-  shared batched synopsis inference, per-site checkpoint/resume via
+  shared batched synopsis inference, checkpoint/resume via
   ``--checkpoint``/``--resume``;
 * ``repro report`` — regenerate any of the paper's tables and figures;
 * ``repro table1`` — both Table I sub-tables through the parallel
@@ -88,6 +88,15 @@ def _window_for(scale: float) -> int:
     return 30 if scale >= 0.8 else 10
 
 
+def _schedule_for(mix, profile: str, scale: float, config: TestbedConfig):
+    """The load schedule a ``--profile`` names: training, test or stress."""
+    if profile == "training":
+        return training_schedule(mix, config, scale=scale)
+    if profile == "test":
+        return steady_test_schedule(mix, config, scale=scale)
+    return stress_schedule(mix, config, scale=scale)
+
+
 def _make_cache(args: argparse.Namespace, *, default_on: bool):
     """ArtifactCache from ``--cache-dir`` / ``--no-cache``, or None.
 
@@ -140,12 +149,7 @@ def _resolve_mix(name: str):
 def cmd_simulate(args: argparse.Namespace) -> int:
     mix = _resolve_mix(args.mix)
     config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
+    schedule = _schedule_for(mix, args.profile, args.scale, config)
     output = run_schedule(
         schedule,
         mix,
@@ -283,12 +287,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         )
         meter = pipeline.meter(args.level)
     config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
+    schedule = _schedule_for(mix, args.profile, args.scale, config)
 
     sim = Simulator()
     app = AppServer(sim, workers=config.app_workers)
@@ -677,13 +676,15 @@ def _print_drift_events(controller, printed: int) -> int:
 
 
 def _serve_shard_factory(service, mix_name: str, profile: str, scale: float):
-    """Build one shard's simulator inside its worker process.
+    """Build ``service``'s websites and simulator; attach the service.
 
-    Runs via :meth:`~repro.control.shard.ShardedCapacityService.attach_factory`
-    with the shard's own :class:`~repro.control.service.CapacityService`:
-    every site gets the same website/traffic stack ``repro serve``
-    builds single-process, seeded from its own spec, so a site's
-    telemetry stream does not depend on which shard hosts it.
+    The one way ``repro serve`` and ``repro serve-http`` build sites:
+    called directly single-process, and inside each worker via
+    :meth:`~repro.control.shard.ShardedCapacityService.attach_factory`
+    with the shard's own :class:`~repro.control.service.CapacityService`.
+    Every site is seeded from its own spec, so a site's telemetry
+    stream does not depend on which shard hosts it.  Returns
+    ``(sim, schedule duration)``.
     """
     from .simulator import (
         AppServer,
@@ -696,12 +697,7 @@ def _serve_shard_factory(service, mix_name: str, profile: str, scale: float):
 
     mix = _resolve_mix(mix_name)
     config = TestbedConfig()
-    if profile == "training":
-        schedule = training_schedule(mix, config, scale=scale)
-    elif profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=scale)
+    schedule = _schedule_for(mix, profile, scale, config)
     sim = Simulator()
     websites = {}
     for site in service.sites:
@@ -734,9 +730,8 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
 
     Each worker owns its shard's simulator and advances it in time
     slices; the parent merges the per-shard decision streams on
-    ``(tick, shard order)`` and drives periodic checkpoints, which use
-    the resharded ``"sharded"`` layout — saveable at N workers,
-    resumable at any other count (or none).
+    ``(tick, shard order)`` and drives periodic checkpoints — saveable
+    at N workers, resumable at any other count (or none).
     """
     from .control.shard import ShardedCapacityService
     from .faults.process import ProcessFaultPlan
@@ -858,16 +853,8 @@ def _cmd_serve_sharded(args: argparse.Namespace, meter, labeler, specs) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .control.service import CapacityService, SiteSpec
     from .core.monitor import MonitorDecision
-    from .simulator import (
-        AppServer,
-        DatabaseServer,
-        MultiTierWebsite,
-        Simulator,
-    )
-    from .workload.generator import ScheduleDriver
-    from .workload.rbe import RemoteBrowserEmulator
 
-    mix = _resolve_mix(args.mix)
+    _resolve_mix(args.mix)  # fail fast, before any training
     if args.sites < 1:
         raise SystemExit("--sites must be at least 1")
     if args.workers < 0:
@@ -888,7 +875,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     labeler = SlaOracle()
     if args.resume:
-        meter = None  # every site's checkpoint embeds its trained meter
+        meter = None  # the checkpoint embeds the trained meter
     elif args.meter:
         meter = CapacityMeter.load(args.meter, labeler=labeler)
     else:
@@ -901,13 +888,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         meter = pipeline.meter(args.level)
         labeler = pipeline.labeler
-    config = TestbedConfig()
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
 
     specs = [
         SiteSpec(
@@ -970,28 +950,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         service.on_decision = checkpointing
 
-    sim = Simulator()
-    websites = {}
-    for spec in specs:
-        app = AppServer(sim, workers=config.app_workers)
-        db = DatabaseServer(sim, connections=config.db_connections)
-        website = MultiTierWebsite(sim, app, db)
-        websites[spec.name] = website
-        rbe = RemoteBrowserEmulator(
-            sim,
-            service.front_end(sim, spec.name, website),
-            mix,
-            think_time_mean=config.think_time_mean,
-            continuity=config.continuity,
-            seed=spec.seed,
-        )
-        ScheduleDriver(sim, rbe, schedule)
-    service.attach(
-        sim,
-        websites,
-        interval=config.sampling_interval,
-        hpc_noise=config.hpc_noise,
-        os_noise=config.os_noise,
+    sim, duration = _serve_shard_factory(
+        service, args.mix, args.profile, args.scale
     )
     controller = None
     drift_printed = 0
@@ -1001,10 +961,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # advance in slices so an operator SIGINT/SIGTERM lands between
         # slices and still gets a final checkpoint (event-driven sim:
         # sliced run == one run to the same instant)
-        slice_seconds = config.sampling_interval * 50
+        slice_seconds = TestbedConfig().sampling_interval * 50
         now = 0.0
-        while now < schedule.duration and interrupted() is None:
-            now = min(now + slice_seconds, schedule.duration)
+        while now < duration and interrupted() is None:
+            now = min(now + slice_seconds, duration)
             sim.run(until=now)
             if controller is not None:
                 controller.step()
@@ -1045,17 +1005,8 @@ def _serve_http_backend(args, meter, labeler, specs):
     from .control.service import CapacityService
     from .control.shard import ShardedCapacityService
     from .faults.process import ProcessFaultPlan
-    from .simulator import (
-        AppServer,
-        DatabaseServer,
-        MultiTierWebsite,
-        Simulator,
-    )
-    from .workload.generator import ScheduleDriver
-    from .workload.rbe import RemoteBrowserEmulator
 
-    config = TestbedConfig()
-    slice_seconds = config.sampling_interval * 50
+    slice_seconds = TestbedConfig().sampling_interval * 50
     if args.workers > 0:
         plan = None
         if args.process_faults:
@@ -1107,13 +1058,6 @@ def _serve_http_backend(args, meter, labeler, specs):
 
         return service, tick, cleanup
 
-    mix = _resolve_mix(args.mix)
-    if args.profile == "training":
-        schedule = training_schedule(mix, config, scale=args.scale)
-    elif args.profile == "test":
-        schedule = steady_test_schedule(mix, config, scale=args.scale)
-    else:
-        schedule = stress_schedule(mix, config, scale=args.scale)
     service = CapacityService(
         meter,
         specs,
@@ -1121,28 +1065,8 @@ def _serve_http_backend(args, meter, labeler, specs):
         use_fleet=not args.no_fleet,
     )
     service.enable_snapshots()
-    sim = Simulator()
-    websites = {}
-    for spec in specs:
-        app = AppServer(sim, workers=config.app_workers)
-        db = DatabaseServer(sim, connections=config.db_connections)
-        website = MultiTierWebsite(sim, app, db)
-        websites[spec.name] = website
-        rbe = RemoteBrowserEmulator(
-            sim,
-            service.front_end(sim, spec.name, website),
-            mix,
-            think_time_mean=config.think_time_mean,
-            continuity=config.continuity,
-            seed=spec.seed,
-        )
-        ScheduleDriver(sim, rbe, schedule)
-    service.attach(
-        sim,
-        websites,
-        interval=config.sampling_interval,
-        hpc_noise=config.hpc_noise,
-        os_noise=config.os_noise,
+    sim, duration = _serve_shard_factory(
+        service, args.mix, args.profile, args.scale
     )
     controller = None
     if getattr(args, "retrain_on_drift", False):
@@ -1150,9 +1074,9 @@ def _serve_http_backend(args, meter, labeler, specs):
     state = {"now": 0.0, "printed": 0}
 
     def tick() -> bool:
-        if state["now"] >= schedule.duration:
+        if state["now"] >= duration:
             return False
-        state["now"] = min(state["now"] + slice_seconds, schedule.duration)
+        state["now"] = min(state["now"] + slice_seconds, duration)
         sim.run(until=state["now"])
         if controller is not None:
             controller.step()

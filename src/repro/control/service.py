@@ -35,17 +35,20 @@ windows and schema-drifted sites drop to the per-site path mid-stream;
 because both paths operate on the same memory, every decision stays
 bit-identical to ``use_fleet=False`` (pinned in ``tests/test_fleet.py``).
 
-Checkpoint/resume reuses :mod:`repro.faults.checkpoint`: a service
-manifest (format tag, tick count, gate states, and — since format v2 —
-fault-injector and watchdog state, so resumed campaigns replay their
-plans from where they stopped rather than from tick zero) plus either
-one monitor checkpoint per site or, when the fleet backend is active,
-one fleet-sharded file storing the shared meter template once.  All
-writes are atomic; v1 manifests are still read.
+Checkpoint/resume has one layout, owned here: each shard of sites (the
+whole service when single-process, one worker's slice under
+:class:`~repro.control.shard.ShardedCapacityService`) writes one
+fleet-sharded monitor file storing the shared meter template once, and
+:func:`write_service_manifest` writes ``service.json`` last — format
+tag, tick count, gate states, and the fault-injector and watchdog state
+resumed campaigns need to replay their plans from where they stopped.
+Shard file names are unique to each save, so a crash before the new
+manifest lands leaves the previous checkpoint whole.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -68,10 +71,8 @@ from ..drift.detector import DriftConfig, DriftDetector
 from ..drift.handle import MeterHandle, StagedSwap, next_window_boundary
 from ..faults.campaign import fresh_monitor
 from ..faults.checkpoint import (
-    load_checkpoint,
     load_fleet_checkpoint,
     read_json_checkpoint,
-    save_checkpoint,
     save_fleet_checkpoint,
     write_json_atomic,
 )
@@ -92,12 +93,16 @@ __all__ = [
     "CapacityService",
     "SiteDecision",
     "SiteSpec",
+    "read_service_manifest",
+    "shard_file_names",
+    "write_service_manifest",
 ]
 
-#: current manifest format: v2 adds fault-injector / watchdog state and
-#: the checkpoint layout tag ("per-site" or "fleet")
+#: the service manifest format; its one layout is "sharded"
 SERVICE_FORMAT = "repro.service-checkpoint/2"
-SERVICE_FORMAT_V1 = "repro.service-checkpoint/1"
+SERVICE_LAYOUT = "sharded"
+#: shard monitor files are ``fleet.monitor.<save>-<shard>.json``
+_SHARD_FILE = re.compile(r"fleet\.monitor\.(\d+)-\d+\.json")
 
 #: (site name, decision) pair emitted by :meth:`CapacityService.push`
 SiteDecision = Tuple[str, MonitorDecision]
@@ -800,40 +805,49 @@ class CapacityService:
     # checkpoint / resume
     # ------------------------------------------------------------------
     def save(self, directory: Union[str, Path]) -> Path:
-        """Checkpoint every site's monitor plus the gate manifest.
+        """Write a service checkpoint with one shard: every site.
 
-        Layout: monitor state as either ``<dir>/<site>.monitor.json``
-        (one full :mod:`repro.faults.checkpoint` file per site) or — when
-        the fleet backend is active — a single fleet-sharded
-        ``<dir>/fleet.monitor.json`` storing the shared meter template
-        once; plus ``<dir>/service.json`` (format tag, checkpoint
-        layout, tick count, per-site gate states, and the run-local
-        state of every fault injector and watchdog, so resumed
-        campaigns pick their fault plans up mid-stream instead of
-        replaying them from tick zero).  All writes are atomic.
+        :meth:`save_shard` plus :func:`write_service_manifest` — the
+        layout :class:`~repro.control.shard.ShardedCapacityService`
+        writes with one shard per worker, so either resumes the other's
+        checkpoints.  The manifest carries the tick count, meter
+        version, gate states, any staged swap and drift state, and
+        every fault injector's and watchdog's run-local state, so a
+        resumed campaign picks its fault plans up mid-stream.  A save
+        that fails part-way leaves the previous checkpoint resumable.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
+        [filename] = shard_file_names(target, 1)
+        return write_service_manifest(
+            target,
+            [self.save_shard(target, filename)],
+            ticks=self.ticks,
+            meter_version=self.handle.version,
+            pending_swap=self.handle.pending,
+            drift=self.drift,
+        )
+
+    def save_shard(
+        self, directory: Union[str, Path], filename: str
+    ) -> Dict[str, Any]:
+        """Write every site's monitor to ``directory / filename``.
+
+        Returns this shard's manifest fragment — its file, site names,
+        gate, injector and watchdog states — for
+        :func:`write_service_manifest` to merge.
+        """
         if self.fleet is not None:
             # checkpoints read each monitor's own state: materialize
             # cohort members before serializing
             self.fleet.sync()
-            layout = "fleet"
-            save_fleet_checkpoint(
-                [(site.name, site.monitor) for site in self.sites],
-                target / "fleet.monitor.json",
-            )
-        else:
-            layout = "per-site"
-            for site in self.sites:
-                save_checkpoint(
-                    site.monitor, target / f"{site.name}.monitor.json"
-                )
-        manifest: Dict[str, object] = {
-            "format": SERVICE_FORMAT,
-            "layout": layout,
-            "ticks": self.ticks,
-            "meter_version": self.handle.version,
+        save_fleet_checkpoint(
+            [(site.name, site.monitor) for site in self.sites],
+            Path(directory) / filename,
+        )
+        return {
+            "file": filename,
+            "sites": [site.name for site in self.sites],
             "gates": {
                 site.name: site.gate.state_dict() for site in self.sites
             },
@@ -848,12 +862,6 @@ class CapacityService:
                 if site.watchdog is not None
             },
         }
-        if self.handle.pending is not None:
-            manifest["pending_swap"] = self.handle.pending.to_manifest()
-        if self.drift is not None:
-            manifest["drift"] = self.drift.state_dict()
-        write_json_atomic(target / "service.json", manifest)
-        return target
 
     @classmethod
     def resume(
@@ -873,79 +881,40 @@ class CapacityService:
     ) -> "CapacityService":
         """Rebuild a service exactly where :meth:`save` left it.
 
-        ``sites`` re-supplies the process-local spec objects (fault
-        plans and gate knobs don't round-trip through the manifest);
-        every spec must have monitor state in ``directory``, and —
+        Reads a service checkpoint written at any worker count — by
+        :meth:`save` or by
+        :meth:`~repro.control.shard.ShardedCapacityService.save` —
+        after :func:`read_service_manifest` has validated it against
+        ``sites``.  ``sites`` re-supplies the process-local spec objects
+        (fault plans and gate knobs don't round-trip through the
+        manifest); every spec must have state in the checkpoint, and —
         unless ``allow_subset=True`` — every checkpointed site must
-        appear in ``sites``: a site silently dropped from a resumed
-        fleet is almost always an operator mistake, so orphaned
-        checkpoint state raises :class:`ValueError` naming the sites.
-        Monitors resume bit-identically (meter payload + run-local
-        state); gates resume probability, counters and RNG state; and —
-        for format-v2 checkpoints — fault injectors and watchdogs
-        resume their plan cursors, stall maps, RNG streams and backoff
-        schedules, so the resumed faulted stream continues exactly
-        where the saved one stopped.  v1 checkpoints (no injector /
-        watchdog state, always per-site layout) are still read; their
-        injectors restart from the resumed stream's first tick as
-        before.
+        appear in ``sites``.  Only the shard files that hold supplied
+        sites are read, and only those sites from each, so a resharded
+        resume pays for its own slice of the fleet.  Monitors resume
+        bit-identically (meter payload + run-local state); gates resume
+        probability, counters and RNG state; fault injectors and
+        watchdogs resume their plan cursors, stall maps, RNG streams
+        and backoff schedules, so the resumed faulted stream continues
+        exactly where the saved one stopped.
 
         ``meter`` stages a hot-swap to a retrained meter immediately
         after the restore — the stop-retrain-restart form of a live
         :meth:`swap_meter`, and bit-identical to it when the checkpoint
         sits on a window boundary.  A swap the saved service had staged
-        but not yet installed (``pending_swap`` in a v2+ manifest) is
+        but not yet installed (``pending_swap`` in the manifest) is
         re-staged automatically; an explicit ``meter`` supersedes it.
         """
         target = Path(directory)
-        manifest = read_json_checkpoint(target / "service.json")
-        if manifest.get("format") not in (SERVICE_FORMAT, SERVICE_FORMAT_V1):
-            raise ValueError(f"{target} is not a service checkpoint")
-        service = cls.__new__(cls)
-        service._init_base(batch_votes=batch_votes, on_decision=on_decision)
-        gate_states = manifest["gates"]
+        manifest = read_service_manifest(
+            target, sites, allow_subset=allow_subset
+        )
         supplied = {spec.name for spec in sites}
-        lost = set(manifest.get("lost_sites", ()))
-        for spec in sites:
-            if spec.name not in gate_states:
-                if spec.name in lost:
-                    raise ValueError(
-                        f"site {spec.name!r} was being served degraded "
-                        f"(its shard worker was lost) when this "
-                        f"checkpoint was written, so it has no state; "
-                        f"drop it from the fleet or resume an earlier "
-                        f"checkpoint"
-                    )
-                raise ValueError(
-                    f"checkpoint has no gate state for site {spec.name!r}"
-                )
-        orphans = sorted(name for name in gate_states if name not in supplied)
-        if orphans and not allow_subset:
-            raise ValueError(
-                f"checkpoint has state for sites not in the supplied "
-                f"list: {orphans}; pass allow_subset=True to resume "
-                f"without them"
-            )
-        layout = manifest.get("layout", "per-site")
-        fleet_monitors: Dict[str, OnlineCapacityMonitor] = {}
-        if layout == "fleet":
-            fleet_monitors = dict(
-                load_fleet_checkpoint(
-                    target / "fleet.monitor.json",
-                    labeler=labeler,
-                    retain_decisions=retain_decisions,
-                )
-            )
-        elif layout == "sharded":
-            # one fleet-sharded monitor file per save-time worker; load
-            # only the shards that hold supplied sites, and only those
-            # sites from each (a resharded resume pays for its own
-            # slice, not the whole checkpointed fleet)
-            for shard in manifest.get("shards", []):
-                wanted = supplied & set(shard["sites"])
-                if not wanted:
-                    continue
-                fleet_monitors.update(
+        monitors: Dict[str, OnlineCapacityMonitor] = {}
+        for shard in manifest["shards"]:
+            wanted = supplied & set(shard["sites"])
+            if wanted:
+                monitors.update(
                     load_fleet_checkpoint(
                         target / str(shard["file"]),
                         labeler=labeler,
@@ -953,27 +922,21 @@ class CapacityService:
                         sites=wanted,
                     )
                 )
+        service = cls.__new__(cls)
+        service._init_base(batch_votes=batch_votes, on_decision=on_decision)
+        gate_states = manifest["gates"]
         injector_states = manifest.get("injectors", {})
         watchdog_states = manifest.get("watchdogs", {})
         for spec in sites:
-            if layout in ("fleet", "sharded"):
-                if spec.name not in fleet_monitors:
-                    raise ValueError(
-                        f"fleet checkpoint has no monitor for site "
-                        f"{spec.name!r}"
-                    )
-                monitor = fleet_monitors[spec.name]
-            else:
-                monitor = load_checkpoint(
-                    target / f"{spec.name}.monitor.json",
-                    labeler=labeler,
-                    retain_decisions=retain_decisions,
+            if spec.name not in monitors:
+                raise ValueError(
+                    f"checkpoint has no monitor for site {spec.name!r}"
                 )
             gate = spec.make_gate()
             gate.load_state(gate_states[spec.name])
             service._add_site(
                 spec,
-                monitor,
+                monitors[spec.name],
                 gate,
                 use_watchdog=use_watchdog,
                 stall_ticks=stall_ticks,
@@ -1022,3 +985,128 @@ class CapacityService:
                 f"{stats.low_confidence_holds} low-confidence holds"
             )
         return rows
+
+
+# ----------------------------------------------------------------------
+# the service checkpoint layout
+# ----------------------------------------------------------------------
+def shard_file_names(directory: Union[str, Path], shards: int) -> List[str]:
+    """Monitor file names for a save of ``shards`` shards into ``directory``.
+
+    The names carry a save number one past any already in the
+    directory, so a save never overwrites a file the current manifest
+    points at: until the new ``service.json`` replaces the old one,
+    the old checkpoint stays whole.
+    """
+    save = 1
+    for path in Path(directory).glob("fleet.monitor.*.json"):
+        match = _SHARD_FILE.fullmatch(path.name)
+        if match is not None:
+            save = max(save, int(match.group(1)) + 1)
+    return [f"fleet.monitor.{save}-{index}.json" for index in range(shards)]
+
+
+def write_service_manifest(
+    directory: Union[str, Path],
+    fragments: Sequence[Mapping[str, Any]],
+    *,
+    ticks: int,
+    meter_version: int,
+    pending_swap: Optional[StagedSwap] = None,
+    drift: Optional[DriftDetector] = None,
+    lost_sites: Sequence[str] = (),
+) -> Path:
+    """Merge shard fragments into ``service.json``; drop unnamed shards.
+
+    ``fragments`` come from :meth:`CapacityService.save_shard`, in
+    global site order, after their monitor files are written; the
+    manifest is written last and atomically, so a reader sees either
+    the old checkpoint or the new one.  Shard files the new manifest
+    does not name — the previous save's, a failed save's, or those of a
+    save at more workers — are removed afterwards.
+    """
+    target = Path(directory)
+    manifest: Dict[str, Any] = {
+        "format": SERVICE_FORMAT,
+        "layout": SERVICE_LAYOUT,
+        "ticks": ticks,
+        "meter_version": meter_version,
+        "shards": [
+            {"file": fragment["file"], "sites": fragment["sites"]}
+            for fragment in fragments
+        ],
+        "gates": {},
+        "injectors": {},
+        "watchdogs": {},
+    }
+    for fragment in fragments:
+        for key in ("gates", "injectors", "watchdogs"):
+            manifest[key].update(fragment[key])
+    if lost_sites:
+        # recorded so a later resume can say *why* these sites have
+        # no state, instead of a bare missing-gate error
+        manifest["lost_sites"] = list(lost_sites)
+    if pending_swap is not None:
+        manifest["pending_swap"] = pending_swap.to_manifest()
+    if drift is not None:
+        manifest["drift"] = drift.state_dict()
+    write_json_atomic(target / "service.json", manifest)
+    named = {shard["file"] for shard in manifest["shards"]}
+    for path in target.glob("fleet.monitor.*"):
+        if path.name not in named:
+            path.unlink(missing_ok=True)
+    return target
+
+
+def read_service_manifest(
+    directory: Union[str, Path],
+    sites: Sequence[SiteSpec],
+    *,
+    allow_subset: bool = False,
+) -> Dict[str, Any]:
+    """Read ``service.json`` and check it can resume ``sites``.
+
+    Raises :class:`ValueError` for anything but a ``"sharded"``
+    :data:`SERVICE_FORMAT` manifest (naming the layout it found), for a
+    supplied site without gate state (saying so when its shard worker
+    had been lost), and — unless ``allow_subset`` — for checkpointed
+    sites missing from ``sites``: a site silently dropped from a
+    resumed fleet is almost always an operator mistake.
+    """
+    target = Path(directory)
+    manifest = read_json_checkpoint(target / "service.json")
+    found = manifest.get("format")
+    if not str(found).startswith("repro.service-checkpoint/"):
+        raise ValueError(f"{target} is not a service checkpoint")
+    # format v1 predates the layout tag: it always wrote per-site files
+    layout = manifest.get("layout") if found == SERVICE_FORMAT else None
+    if layout != SERVICE_LAYOUT:
+        raise ValueError(
+            f"{target} holds a {found} checkpoint in the "
+            f"{layout or 'per-site'!r} layout; only the {SERVICE_LAYOUT!r} "
+            f"layout of {SERVICE_FORMAT} can be resumed (the sharded "
+            f"service of the release that wrote it re-saves it as one)"
+        )
+    gate_states = manifest["gates"]
+    lost = set(manifest.get("lost_sites", ()))
+    for spec in sites:
+        if spec.name in gate_states:
+            continue
+        if spec.name in lost:
+            raise ValueError(
+                f"site {spec.name!r} was being served degraded (its "
+                f"shard worker was lost) when this checkpoint was "
+                f"written, so it has no state; drop it from the fleet "
+                f"or resume an earlier checkpoint"
+            )
+        raise ValueError(
+            f"checkpoint has no gate state for site {spec.name!r}"
+        )
+    supplied = {spec.name for spec in sites}
+    orphans = sorted(name for name in gate_states if name not in supplied)
+    if orphans and not allow_subset:
+        raise ValueError(
+            f"checkpoint has state for sites not in the supplied list: "
+            f"{orphans}; pass allow_subset=True to resume without them"
+        )
+    return manifest

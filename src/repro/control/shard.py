@@ -33,14 +33,15 @@ pulls chunk ``k``'s reply blobs off every pipe *before* unpickling
 them, handing out chunk ``k + 1`` first so its merge work overlaps the
 workers' compute.
 
-Checkpointing extends the ``repro.service-checkpoint/2`` manifest with
-a ``"sharded"`` layout — one fleet-sharded ``fleet.monitor.<i>.json``
-per worker plus the merged gate/injector/watchdog states — that can be
-saved at N workers and resumed at M (including M = 0: the
-single-process :meth:`CapacityService.resume` reads the sharded layout
-directly), and a sharded service resumes any v1/v2 single-process
-manifest, since each worker simply resumes its slice of the checkpoint
-through ``CapacityService.resume(..., allow_subset=True)``.
+Checkpoints use the one service checkpoint layout that
+:mod:`repro.control.service` owns: each worker writes its shard's
+monitor file through :meth:`CapacityService.save_shard`, and the parent
+merges the fragments into ``service.json`` through
+:func:`~repro.control.service.write_service_manifest` — the same writer
+the single-process service uses, with one shard.  A checkpoint saved at
+N workers resumes at M for any M, including M = 0, since each worker
+simply resumes its slice through ``CapacityService.resume(...,
+allow_subset=True)``.
 
 Self-healing
 ------------
@@ -108,21 +109,17 @@ from ..core.coordinator import CoordinatedPrediction
 from ..core.monitor import MonitorDecision
 from ..drift.detector import DriftConfig, DriftDetector
 from ..drift.handle import StagedSwap, next_window_boundary
-from ..faults.checkpoint import (
-    read_json_checkpoint,
-    save_fleet_checkpoint,
-    write_json_atomic,
-)
 from ..faults.process import ProcessFaultPlan, ProcessFaultSpec
 from ..obs import OBS, MetricsRegistry, merge_snapshot, snapshot_lines
 from ..parallel.pool import WorkerCrash, WorkerError, WorkerPool, WorkerTimeout
 from ..telemetry.sampler import IntervalRecord, WindowStats
 from .service import (
-    SERVICE_FORMAT,
-    SERVICE_FORMAT_V1,
     CapacityService,
     SiteDecision,
     SiteSpec,
+    read_service_manifest,
+    shard_file_names,
+    write_service_manifest,
 )
 from .snapshot import FleetSnapshot, SnapshotPublisher
 
@@ -272,33 +269,9 @@ def _shard_hang() -> None:
     time.sleep(3600.0)
 
 
-def _shard_save(directory: str, shard_index: int) -> Dict[str, Any]:
+def _shard_save(directory: str, filename: str) -> Dict[str, Any]:
     """Write this shard's monitor file; return its manifest fragment."""
-    service = _shard()
-    if service.fleet is not None:
-        service.fleet.sync()
-    filename = f"fleet.monitor.{shard_index}.json"
-    save_fleet_checkpoint(
-        [(site.name, site.monitor) for site in service.sites],
-        Path(directory) / filename,
-    )
-    return {
-        "file": filename,
-        "sites": [site.name for site in service.sites],
-        "gates": {
-            site.name: site.gate.state_dict() for site in service.sites
-        },
-        "injectors": {
-            site.name: site.injector.state_dict()
-            for site in service.sites
-            if site.injector is not None
-        },
-        "watchdogs": {
-            site.name: site.watchdog.state_dict()
-            for site in service.sites
-            if site.watchdog is not None
-        },
-    }
+    return _shard().save_shard(directory, filename)
 
 
 def _shard_summary() -> List[str]:
@@ -407,10 +380,10 @@ class ShardedCapacityService:
     :meth:`replay` return ``(site name, decision)`` pairs in the exact
     order the single-process service would emit them, and
     ``on_decision`` observes the merged stream.  :meth:`save` writes a
-    ``"sharded"`` service checkpoint that any worker count — including
-    the single-process service — can resume; :meth:`resume` reads any
-    v1/v2 layout.  Always :meth:`close` (or use as a context manager):
-    the workers are real processes.
+    service checkpoint that any worker count — including the
+    single-process service — can resume, and :meth:`resume` reads one
+    written at any worker count.  Always :meth:`close` (or use as a
+    context manager): the workers are real processes.
     """
 
     def __init__(
@@ -603,43 +576,20 @@ class ShardedCapacityService:
         process_faults: Optional[ProcessFaultPlan] = None,
         supervise_dir: Optional[Union[str, Path]] = None,
     ) -> "ShardedCapacityService":
-        """Resume any service checkpoint across ``workers`` processes.
+        """Resume a service checkpoint across ``workers`` processes.
 
         The worker count is independent of the one that wrote the
-        checkpoint: each worker resumes its own contiguous slice via
-        :meth:`CapacityService.resume`, which reads per-site, fleet and
-        sharded layouts alike.  Manifest validation (format, missing
-        gate state, orphaned sites unless ``allow_subset``) happens
-        once here in the parent, exactly as the single-process resume
-        would report it.
+        checkpoint (zero, for a single-process save): each worker
+        resumes its own contiguous slice via
+        :meth:`CapacityService.resume`.  The manifest is validated once
+        here in the parent by
+        :func:`~repro.control.service.read_service_manifest` — the same
+        check the single-process resume makes, with the same errors.
         """
         target = Path(directory)
-        manifest = read_json_checkpoint(target / "service.json")
-        if manifest.get("format") not in (SERVICE_FORMAT, SERVICE_FORMAT_V1):
-            raise ValueError(f"{target} is not a service checkpoint")
-        gate_states = manifest["gates"]
-        supplied = {spec.name for spec in sites}
-        lost = set(manifest.get("lost_sites", ()))
-        for spec in sites:
-            if spec.name not in gate_states:
-                if spec.name in lost:
-                    raise ValueError(
-                        f"site {spec.name!r} was being served degraded "
-                        f"(its shard worker was lost) when this "
-                        f"checkpoint was written, so it has no state; "
-                        f"drop it from the fleet or resume an earlier "
-                        f"checkpoint"
-                    )
-                raise ValueError(
-                    f"checkpoint has no gate state for site {spec.name!r}"
-                )
-        orphans = sorted(name for name in gate_states if name not in supplied)
-        if orphans and not allow_subset:
-            raise ValueError(
-                f"checkpoint has state for sites not in the supplied "
-                f"list: {orphans}; pass allow_subset=True to resume "
-                f"without them"
-            )
+        manifest = read_service_manifest(
+            target, sites, allow_subset=allow_subset
+        )
         return cls(
             None,
             sites,
@@ -1335,12 +1285,15 @@ class ShardedCapacityService:
 
         Submits in parallel, collects in worker order; a worker that
         fails is recovered (mode-appropriately) and retried, or marked
-        lost and omitted from the result.
+        lost and omitted from the result.  A task that *raised* is
+        re-raised only after every other reply is read, so the pipes
+        stay in step and the service stays usable.
         """
         live = [w for w in range(self.pool.size) if w not in self._lost]
         results: Dict[int, Any] = {}
         submitted: List[int] = []
         failed: List[int] = []
+        raised: Optional[WorkerError] = None
         for worker in live:
             try:
                 self.pool.submit(worker, fn, *argfn(worker))
@@ -1354,10 +1307,14 @@ class ShardedCapacityService:
             except (WorkerCrash, WorkerTimeout) as exc:
                 self._note_failure(worker, exc)
                 failed.append(worker)
+            except WorkerError as exc:
+                raised = raised or exc
         for worker in failed:
             ok, value = self._call_one(worker, fn, argfn(worker))
             if ok:
                 results[worker] = value
+        if raised is not None:
+            raise raised
         return results
 
     # ------------------------------------------------------------------
@@ -1517,47 +1474,30 @@ class ShardedCapacityService:
     # checkpoint / inspection
     # ------------------------------------------------------------------
     def save(self, directory: Union[str, Path]) -> Path:
-        """Write a ``"sharded"``-layout service checkpoint.
+        """Write a service checkpoint, one shard file per live worker.
 
-        Workers write their ``fleet.monitor.<i>.json`` files in
-        parallel (each atomically); the parent merges their manifest
-        fragments — gate, injector and watchdog states keyed by site,
-        in global site order — and writes ``service.json`` last, so a
-        reader never observes a manifest pointing at missing shards.
+        Workers write their shard files in parallel (each atomically,
+        each under a name unique to this save); the parent then merges
+        their manifest fragments, in global site order, through
+        :func:`~repro.control.service.write_service_manifest`, which
+        writes ``service.json`` last — a save that fails part-way
+        leaves the previous checkpoint resumable.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
+        files = shard_file_names(target, self.pool.size)
         fragments = self._call_live(
-            _shard_save, lambda worker: (str(target), worker)
+            _shard_save, lambda worker: (str(target), files[worker])
         )
-        manifest: Dict[str, Any] = {
-            "format": SERVICE_FORMAT,
-            "layout": "sharded",
-            "ticks": self.ticks,
-            "meter_version": self.meter_version,
-            "shards": [
-                {"file": fragment["file"], "sites": fragment["sites"]}
-                for _, fragment in sorted(fragments.items())
-            ],
-            "gates": {},
-            "injectors": {},
-            "watchdogs": {},
-        }
-        for _, fragment in sorted(fragments.items()):
-            manifest["gates"].update(fragment["gates"])
-            manifest["injectors"].update(fragment["injectors"])
-            manifest["watchdogs"].update(fragment["watchdogs"])
-        if self._lost:
-            # recorded so a later resume can say *why* these sites have
-            # no state, instead of a bare missing-gate error
-            manifest["lost_sites"] = self.lost_sites()
-        pending = self._pending_swap()
-        if pending is not None:
-            manifest["pending_swap"] = pending.to_manifest()
-        if self.drift is not None:
-            manifest["drift"] = self.drift.state_dict()
-        write_json_atomic(target / "service.json", manifest)
-        return target
+        return write_service_manifest(
+            target,
+            [fragment for _, fragment in sorted(fragments.items())],
+            ticks=self.ticks,
+            meter_version=self.meter_version,
+            pending_swap=self._pending_swap(),
+            drift=self.drift,
+            lost_sites=self.lost_sites(),
+        )
 
     def sync(self) -> None:
         """Materialize cohort members on every live shard."""

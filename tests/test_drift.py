@@ -15,7 +15,7 @@ The contract under test is the PR's acceptance bar:
 * swaps land only at window boundaries: a mid-window stage defers to
   the boundary so no decision window mixes two meters' votes;
 * checkpoint manifests carry ``meter_version`` / ``pending_swap`` /
-  ``drift`` (format v2) and v1 manifests without them still load;
+  ``drift``, and manifests without them still load;
 * warm retrains through the artifact cache rebuild nothing and return
   a payload identical to the cold build's;
 * the audit pin for held-decision confidence decay: a quorum-failure

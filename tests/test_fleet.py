@@ -261,75 +261,76 @@ class TestCheckpointLayouts:
     def test_fleet_layout_stores_one_monitor_file(
         self, meter, records, tmp_path
     ):
+        """Both backends save the one layout: a single shard file that
+        restores every site's monitor state."""
         specs = specs_for("mixed")
-        service = CapacityService(meter, specs, use_fleet=True)
-        service.replay(records[:40])
-        target = service.save(tmp_path / "fleet-ckpt")
-        assert (target / "fleet.monitor.json").exists()
-        assert not list(target.glob("*.monitor.json.tmp"))
-        assert not (target / "clean.monitor.json").exists()
-        manifest = json.loads((target / "service.json").read_text())
-        assert manifest["layout"] == "fleet"
-        restored = dict(
-            load_fleet_checkpoint(
-                target / "fleet.monitor.json", labeler=meter.labeler
+        for save_fleet in (True, False):
+            service = CapacityService(meter, specs, use_fleet=save_fleet)
+            service.replay(records[:40])
+            target = service.save(tmp_path / f"ckpt-{int(save_fleet)}")
+            manifest = json.loads((target / "service.json").read_text())
+            assert manifest["layout"] == "sharded"
+            [shard] = manifest["shards"]
+            assert shard["sites"] == ["clean", "faulty"]
+            assert sorted(p.name for p in target.iterdir()) == sorted(
+                [shard["file"], "service.json"]
             )
-        )
-        assert set(restored) == {"clean", "faulty"}
-        for spec in specs:
-            assert canon(restored[spec.name].state_dict()) == canon(
-                service.site(spec.name).monitor.state_dict()
+            restored = dict(
+                load_fleet_checkpoint(
+                    target / shard["file"], labeler=meter.labeler
+                )
             )
+            assert set(restored) == {"clean", "faulty"}
+            for spec in specs:
+                assert canon(restored[spec.name].state_dict()) == canon(
+                    service.site(spec.name).monitor.state_dict()
+                )
 
     def test_layouts_cross_resume(self, meter, records, tmp_path):
-        """Either layout resumes into either backend, bit-identically."""
+        """A save from either backend resumes into either backend,
+        bit-identically."""
         specs = specs_for("mixed")
         half = len(records) // 2
         reference = CapacityService(meter, specs, use_fleet=True)
         expected = reference.replay(records)
 
-        for save_fleet, resume_fleet in (
-            (True, False),
-            (False, True),
-        ):
+        for save_fleet in (True, False):
             first = CapacityService(meter, specs, use_fleet=save_fleet)
             head = first.replay(records[:half])
-            target = first.save(
-                tmp_path / f"ckpt-{int(save_fleet)}{int(resume_fleet)}"
-            )
-            expected_files = (
-                ["fleet.monitor.json"]
-                if save_fleet
-                else ["clean.monitor.json", "faulty.monitor.json"]
-            )
-            for name in expected_files:
-                assert (target / name).exists()
-            resumed = CapacityService.resume(
-                target, specs, labeler=meter.labeler, use_fleet=resume_fleet
-            )
-            assert (resumed.fleet is not None) == resume_fleet
-            combined = head + resumed.replay(records[half:])
-            for spec in specs:
-                assert site_signature(
-                    combined, spec.name
-                ) == site_signature(expected, spec.name)
+            target = first.save(tmp_path / f"ckpt-{int(save_fleet)}")
+            for resume_fleet in (True, False):
+                resumed = CapacityService.resume(
+                    target,
+                    specs,
+                    labeler=meter.labeler,
+                    use_fleet=resume_fleet,
+                )
+                assert (resumed.fleet is not None) == resume_fleet
+                combined = head + resumed.replay(records[half:])
+                for spec in specs:
+                    assert site_signature(
+                        combined, spec.name
+                    ) == site_signature(expected, spec.name)
 
-    def test_v1_manifest_still_resumes(self, meter, records, tmp_path):
-        """Pre-fleet checkpoints (format v1: per-site layout, no
-        injector/watchdog state) must keep loading."""
+    def test_retired_layouts_are_rejected(self, meter, records, tmp_path):
+        """Per-site, fleet and format-v1 manifests no longer resume: the
+        error names the layout the manifest holds."""
         specs = [SiteSpec(name="a", seed=1)]
-        service = CapacityService(meter, specs, use_fleet=False)
+        service = CapacityService(meter, specs)
         service.replay(records[:40])
         target = service.save(tmp_path / "ckpt")
         manifest = json.loads((target / "service.json").read_text())
-        manifest["format"] = "repro.service-checkpoint/1"
-        for key in ("layout", "injectors", "watchdogs"):
-            manifest.pop(key, None)
-        (target / "service.json").write_text(json.dumps(manifest))
-        resumed = CapacityService.resume(target, specs, labeler=meter.labeler)
-        assert resumed.ticks == service.ticks
-        assert canon(resumed.site("a").monitor.state_dict()) == canon(
-            service.site("a").monitor.state_dict()
-        )
-        resumed.replay(records[40:60])
-        assert resumed.site("a").monitor.counters.windows > 0
+        v1 = {
+            key: value
+            for key, value in manifest.items()
+            if key not in ("layout", "shards", "injectors", "watchdogs")
+        }
+        v1["format"] = "repro.service-checkpoint/1"
+        for retired, found in (
+            ({**manifest, "layout": "per-site"}, "'per-site' layout"),
+            ({**manifest, "layout": "fleet"}, "'fleet' layout"),
+            (v1, "service-checkpoint/1 checkpoint in the 'per-site' layout"),
+        ):
+            (target / "service.json").write_text(json.dumps(retired))
+            with pytest.raises(ValueError, match=found):
+                CapacityService.resume(target, specs, labeler=meter.labeler)

@@ -289,18 +289,18 @@ class TestReshardedResume:
             s.name: s.gate.state_dict() for s in service.sites
         } == reference["gates"]
 
-    def test_resume_sharded_from_v2_fleet_manifest(
+    def test_resume_sharded_from_single_process_save(
         self, meter, labeler, records, reference, tmp_path
     ):
-        """A single-process (fleet-layout) checkpoint resumes under
-        ``--workers`` and continues bit-identically."""
+        """A single-process checkpoint (one shard) resumes at 3 workers
+        and continues bit-identically."""
         single = CapacityService(
             meter, reference["specs"], labeler=labeler
         )
         head = single.replay(records[:40])
-        single.save(tmp_path / "ckfleet")
+        single.save(tmp_path / "cksingle")
         with ShardedCapacityService.resume(
-            tmp_path / "ckfleet",
+            tmp_path / "cksingle",
             reference["specs"],
             workers=3,
             labeler=labeler,
