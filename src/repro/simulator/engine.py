@@ -77,6 +77,12 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._events_executed = 0
+        #: the event most recently pushed by :meth:`schedule_at`; a tier
+        #: whose pending completion is still this event and already at
+        #: the right time can keep it instead of rescheduling, because a
+        #: fresh push would take the next sequence number with nothing
+        #: in between and so keep the tie order
+        self.last_scheduled: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # clock
@@ -116,6 +122,7 @@ class Simulator:
             )
         event = Event(time, action)
         heappush(self._heap, (time, next(self._seq), event))
+        self.last_scheduled = event
         return event
 
     def every(

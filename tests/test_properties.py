@@ -127,6 +127,112 @@ class TestProcessorSharingProperties:
             assert finish_times[i] >= demand - 1e-9
 
 
+class _AlwaysReschedule(Simulator):
+    """A simulator whose ``last_scheduled`` never names a pending event.
+
+    Every :meth:`TierServer._resync` then cancels and pushes its
+    completion again: the reference that keeping a completion a push
+    would not move is compared against.
+    """
+
+    @property
+    def last_scheduled(self):
+        return None
+
+    @last_scheduled.setter
+    def last_scheduled(self, event):
+        pass
+
+
+def _tier_stream(sim, ops):
+    """Drive one contended tier through ``ops``.
+
+    Returns its samples and the order in which jobs arrived and left,
+    which exposes the tie order of equal-time events.
+    """
+    from dataclasses import astuple
+
+    from repro.simulator.server import HardwareSpec, Job, TierServer
+
+    server = TierServer(
+        sim,
+        HardwareSpec(name="t", cores=2, l2_cache_kb=64.0),
+        workers=3,
+        queue_capacity=2,
+        contention=ContentionModel(cores=2, cs_overhead=0.01),
+        # no compulsory misses: rates stay round until the cache
+        # overflows, so completions land on the time grid and tie
+        cache=CacheModel(capacity=64.0, base_miss_rate=0.0),
+        miss_stall_factor=1.5,
+        queue_in_working_set=0.5,
+    )
+    samples = []
+    log = []
+    sim.every(0.5, lambda: samples.append(astuple(server.sample())))
+
+    def submit(index, demand, footprint, hold):
+        def finish(s):
+            server.finish(s)
+            log.append(("done", index, sim.now))
+
+        def admitted(session):
+            def after_first(s):
+                if hold is None:
+                    finish(s)
+                else:
+                    sim.schedule(
+                        hold, lambda: server.run_phase(s, demand, finish)
+                    )
+
+            server.run_phase(session, demand, after_first)
+
+        log.append(("arrive", index, sim.now))
+        server.submit(Job(demand=demand, footprint_kb=footprint), admitted)
+
+    for index, (at, background, demand, footprint, hold) in enumerate(ops):
+        if background:
+            sim.schedule_at(
+                at,
+                lambda d=demand, f=footprint: server.run_background(
+                    d, footprint_kb=f
+                ),
+            )
+        else:
+            sim.schedule_at(
+                at,
+                lambda i=index, d=demand, f=footprint, h=hold: submit(
+                    i, d, f, h
+                ),
+            )
+    sim.run(until=6.0)
+    samples.append(astuple(server.sample()))
+    return samples, log, sim.events_executed
+
+
+class TestCompletionRescheduleProperties:
+    @MODEST
+    @given(
+        st.lists(
+            st.tuples(
+                # a coarse time grid and round demands make ties common
+                st.integers(min_value=0, max_value=16).map(lambda k: k / 4),
+                st.booleans(),
+                st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+                | st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 16.0, 40.0]),
+                st.none() | st.sampled_from([0.0, 0.25, 0.5]),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_kept_completions_leave_the_stream_unchanged(self, ops):
+        """Keeping a pending completion is bit-identical to re-pushing it."""
+        assert _tier_stream(Simulator(), ops) == _tier_stream(
+            _AlwaysReschedule(), ops
+        )
+
+
 class TestModelProperties:
     @given(st.integers(min_value=0, max_value=500))
     def test_contention_efficiency_in_unit_interval(self, n):

@@ -1,5 +1,7 @@
 """Unit tests for the tier server and its processor-sharing core."""
 
+import math
+
 import pytest
 
 from repro.simulator.engine import Simulator
@@ -199,6 +201,39 @@ class TestLifecycleErrors:
         with pytest.raises(ValueError):
             Job(demand=-1.0)
 
+    @pytest.mark.parametrize(
+        "demand, footprint",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_job_rejected(self, demand, footprint):
+        with pytest.raises(ValueError):
+            Job(demand=demand, footprint_kb=footprint)
+
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -1.0])
+    def test_bad_phase_demand_rejected_before_running(self, sim, demand):
+        """A NaN phase never reaches its mark: it must fail, not hang."""
+        server = make_server(sim)
+        held = []
+        server.submit(Job(demand=1.0), held.append)
+        with pytest.raises(ValueError):
+            server.run_phase(held[0], demand, server.finish)
+        # rejected before any state change: still blocked, nothing due
+        assert (server.runnable, server.blocked) == (0, 1)
+        assert not held[0].runnable
+        assert sim.peek() is None
+
+    @pytest.mark.parametrize(
+        "demand, footprint", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)]
+    )
+    def test_bad_background_burst_rejected_before_running(
+        self, sim, demand, footprint
+    ):
+        server = make_server(sim)
+        with pytest.raises(ValueError):
+            server.run_background(demand, footprint_kb=footprint)
+        assert server.runnable == 0
+        assert sim.peek() is None
+
     def test_mismatched_contention_cores_rejected(self, sim):
         spec = HardwareSpec(name="t", cores=2)
         with pytest.raises(ValueError):
@@ -295,3 +330,51 @@ class TestAccounting:
         assert sample.throughput == 0.0
         assert sample.mean_service_time == 0.0
         assert sample.mean_queue_wait == 0.0
+
+
+class TestCompletionReschedule:
+    """_resync keeps a pending completion only when a push would not move it."""
+
+    def test_unchanged_rate_keeps_the_event_handle(self, sim):
+        server = make_server(sim, workers=2)
+        run_one(sim, server, demand=2.0)
+        event = server._completion_event
+        assert event is sim.last_scheduled
+        entries = len(sim._heap)
+        # a held session changes the state but not the progress rate
+        server.submit(Job(demand=1.0), lambda s: None)
+        server._resync()
+        assert server._completion_event is event
+        assert not event.cancelled
+        assert len(sim._heap) == entries
+        sim.run()
+        assert sim.now == pytest.approx(2.0)
+
+    def test_equal_time_event_scheduled_later_forces_a_push(self, sim):
+        server = make_server(sim)
+        order = []
+        server.submit(
+            Job(demand=2.0),
+            lambda s: server.run_phase(
+                s, 2.0, lambda s: (server.finish(s), order.append("done"))
+            ),
+        )
+        event = server._completion_event
+        assert event.time == 2.0
+        # the completion was pushed before this tie; a resync pushes it
+        # again, so it now runs after the tie, as a fresh push always did
+        sim.schedule_at(2.0, lambda: order.append("tie"))
+        server._resync()
+        assert event.cancelled
+        assert server._completion_event is sim.last_scheduled
+        assert server._completion_event.time == 2.0
+        sim.run()
+        assert order == ["tie", "done"]
+
+    def test_rate_change_moves_the_completion(self, sim):
+        server = make_server(sim)
+        run_one(sim, server, demand=2.0)
+        event = server._completion_event
+        run_one(sim, server, demand=2.0)  # halves the rate
+        assert event.cancelled
+        assert server._completion_event.time == pytest.approx(4.0)
