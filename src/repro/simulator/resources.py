@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 __all__ = [
     "ContentionModel",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContentionModel:
     """Concurrency-dependent slowdown of a multi-core CPU.
 
@@ -83,7 +83,7 @@ class ContentionModel:
         return min(n_active, self.cores) * self.efficiency(n_active)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheModel:
     """A set-associative-cache / buffer-pool pressure model.
 
@@ -117,15 +117,26 @@ class CacheModel:
                 "max_miss_rate <= 1"
             )
 
+    def pressure_and_miss(self, working_set: float) -> Tuple[float, float]:
+        """Pressure and miss rate for a given offered working set.
+
+        The one owner of the cache formula: every tier calls it once per
+        state change, so ``max(0.0, p)`` is spelt as a compare, which is
+        the same value (NaN included) without a builtin call.
+        """
+        p = working_set / self.capacity - 1.0
+        if not p > 0.0:
+            p = 0.0
+        span = self.max_miss_rate - self.base_miss_rate
+        return p, self.base_miss_rate + span * p / (p + self.knee)
+
     def pressure(self, working_set: float) -> float:
         """Excess of working set over capacity, as a ratio (>= 0)."""
-        return max(0.0, working_set / self.capacity - 1.0)
+        return self.pressure_and_miss(working_set)[0]
 
     def miss_rate(self, working_set: float) -> float:
         """Miss rate for a given offered working set."""
-        p = self.pressure(working_set)
-        span = self.max_miss_rate - self.base_miss_rate
-        return self.base_miss_rate + span * p / (p + self.knee)
+        return self.pressure_and_miss(working_set)[1]
 
 
 @dataclass

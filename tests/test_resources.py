@@ -1,5 +1,7 @@
 """Unit tests for contention, cache and worker-pool models."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulator.resources import CacheModel, ContentionModel, WorkerPool
@@ -75,6 +77,24 @@ class TestCacheModel:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             CacheModel(capacity=0.0).pressure(1.0)
+
+    def test_pressure_and_miss_is_the_one_formula(self):
+        cache = CacheModel(capacity=512.0, knee=0.6)
+        for ws in (0.0, 256.0, 512.0, 700.0, 1e6, float("nan")):
+            p, miss = cache.pressure_and_miss(ws)
+            assert p == cache.pressure(ws)
+            assert miss == cache.miss_rate(ws)
+        # NaN working set clamps to zero pressure, as max(0.0, nan) does
+        assert cache.pressure_and_miss(float("nan")) == (
+            0.0, cache.base_miss_rate
+        )
+
+    def test_models_are_frozen(self):
+        # a tier memoises rates from these models at construction
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CacheModel().capacity = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ContentionModel().cs_overhead = 0.1
 
     @pytest.mark.parametrize(
         "kwargs",
